@@ -1,10 +1,10 @@
 """Importable helpers for the benchmark harness.
 
 Every module in this directory regenerates one of the paper's figures,
-tables or quantitative claims (see DESIGN.md for the experiment index).
-Each test uses the pytest-benchmark fixture for timing and prints the
-reproduced rows/series so the output can be compared side by side with the
-paper; EXPERIMENTS.md records the paper-versus-measured comparison.
+tables or quantitative claims.  Each test uses the pytest-benchmark fixture
+for timing and prints the reproduced rows/series so the output can be
+compared side by side with the paper; ``docs/performance.md`` records the
+measured speedups and how to run the harness.
 
 These helpers live outside ``conftest.py`` so that benchmark modules never
 need a bare ``from conftest import ...`` (which shadows other conftest

@@ -4,7 +4,7 @@ Reproduces the mapping discussion as a measured table: for representative
 circuits (QFT, random, GHZ) placed on 2-D grid topologies, report the SWAPs
 inserted, the gate-count overhead and the depth/latency increase, for both
 the trivial and the interaction-aware initial placement (the ablation of the
-placement design choice called out in DESIGN.md).
+placement design choice).
 """
 
 import time

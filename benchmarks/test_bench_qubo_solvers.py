@@ -80,7 +80,7 @@ def test_problem_size_reach_of_each_accelerator(benchmark):
 
 
 def test_annealing_schedule_ablation(benchmark):
-    """Ablation called out in DESIGN.md: geometric vs linear temperature schedule."""
+    """Ablation: geometric vs linear temperature schedule."""
 
     def sweep():
         qubo = random_qubo(20, density=0.4, seed=99)

@@ -34,9 +34,10 @@ REPRO007   rng isolation: engine ``copy()``/``clone()``/``spawn()`` paths
            must not share ``self.rng`` with the clone — spawn a child
            generator instead.
 REPRO008   event-loop purity: service coroutines never call blocking runtime
-           entry points (``run_shard``, ``run_batch``, ``compile_and_map``,
-           runner ``run``/``plan``/``plan_point``) directly — dispatch them
-           through an executor.
+           entry points (``run_shard``, ``run_batch_chunk``, ``run_unit``,
+           ``execute``, ``run_planned``, ``stack_chunks``, ``run_batch``,
+           ``compile_and_map``, runner/planner ``run``/``plan``/
+           ``plan_point``) directly — dispatch them through an executor.
 ========== ==================================================================
 
 ``scripts/lint_contracts.py`` is the CLI; the CI ``contracts`` job runs it
@@ -582,10 +583,10 @@ class WorkerStateRule(Rule):
         "worker counts.  Deliberate per-process memo caches need an explicit ignore "
         "with a rationale."
     )
-    scope = "src/repro/runtime/worker.py, src/repro/runtime/batch.py"
+    scope = "src/repro/runtime/worker.py, src/repro/runtime/batch.py, src/repro/runtime/runner.py"
 
     def applies_to(self, path: Path) -> bool:
-        return "runtime" in _parts(path) and path.name in ("worker.py", "batch.py")
+        return "runtime" in _parts(path) and path.name in ("worker.py", "batch.py", "runner.py")
 
     def check(self, context: ModuleContext) -> list[Violation]:
         violations: list[Violation] = []
@@ -686,8 +687,19 @@ class RngSharingRule(Rule):
         return violations
 
 
-#: Module-level functions that execute shards/batches synchronously.
-_BLOCKING_RUNTIME_FUNCTIONS = frozenset({"run_shard", "run_batch", "compile_and_map"})
+#: Module-level functions that plan, stack or execute work synchronously.
+_BLOCKING_RUNTIME_FUNCTIONS = frozenset(
+    {
+        "run_shard",
+        "run_batch_chunk",
+        "run_unit",
+        "execute",
+        "run_planned",
+        "stack_chunks",
+        "run_batch",
+        "compile_and_map",
+    }
+)
 
 #: Blocking methods when called on a runner/planner object.
 _BLOCKING_RUNNER_METHODS = frozenset({"run", "plan", "plan_point"})

@@ -53,12 +53,6 @@ from repro.qx.mps import MPSState
 from repro.qx.stabilizer import StabilizerSimulator
 from repro.qx.statevector import StateVector
 
-#: Back-compat aliases: the dispatch thresholds now live on
-#: :class:`~repro.qx.backends.DispatchPolicy`; these constants mirror the
-#: default policy's values for code that still reads them.
-STABILIZER_DISPATCH_MIN_QUBITS = DispatchPolicy.stabilizer_min_qubits
-STABILIZER_DISPATCH_SAMPLED_MIN_QUBITS = DispatchPolicy.stabilizer_sampled_min_qubits
-
 
 @dataclass
 class SimulationResult:

@@ -5,15 +5,27 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 
 def merge_counts(histograms) -> dict[str, int]:
-    """Sum measurement histograms; keys are sorted so merges are canonical."""
+    """Sum measurement histograms; keys are sorted so merges are canonical.
+
+    Merged keys are shared string objects (:func:`_shared_key`), so the
+    many histograms a long-lived process keeps — the service's job results —
+    hold each bitstring once rather than once per point.
+    """
     merged: Counter[str] = Counter()
     for histogram in histograms:
         merged.update(histogram)
-    return {key: int(merged[key]) for key in sorted(merged)}
+    return {_shared_key(key): int(merged[key]) for key in sorted(merged)}
+
+
+@lru_cache(maxsize=1 << 13)
+def _shared_key(key: str) -> str:
+    """The first-seen string equal to ``key``: a bounded intern table."""
+    return key
 
 
 def merge_metrics(metric_dicts) -> dict:

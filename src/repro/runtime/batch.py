@@ -1,23 +1,27 @@
 """Many-circuit batched execution: fleets of small circuits, one pass.
 
-The per-experiment runtime (:mod:`repro.runtime.runner`) treats a circuit
-as the unit of work: build, compile, lower, shard, dispatch.  The paper's
-target workloads (RB sequences, QAOA iterates, VQE parameter steps) arrive
-instead as *thousands of distinct small circuits*, where that per-circuit
-pipeline overhead dwarfs the simulation itself.  :class:`BatchRunner`
-amortises every stage across the fleet:
+The paper's target workloads (RB sequences, QAOA iterates, VQE parameter
+steps) arrive as *thousands of distinct small circuits*, where per-circuit
+pipeline overhead dwarfs the simulation itself.  A :class:`BatchSpec`
+declares such a fleet; its circuits are sweep points of the runtime's one
+plan→execute core (:mod:`repro.runtime.runner`), planned as *batch work*,
+which amortises every stage across the fleet:
 
+* **planning** builds one platform per circuit width, verifies once per
+  shared lowering plan, and skips the cQASM round trip when the compiler
+  is off;
 * **lowering** goes through the structural plan cache of
   :mod:`repro.qx.compiled` — the thousand RB sequences that share gate
-  positions share one fusion plan, and the content-addressed program cache
-  deduplicates outright-identical circuits;
+  positions share one fusion plan;
 * **execution** groups statevector-dispatched circuits whose lowered
   programs share a skeleton (same op kinds at the same positions on the
-  same operands) and evolves each group as one stacked ``(batch, 2**n)``
-  ndarray pass through the batched kernels of :mod:`repro.qx.kernels` —
-  one kernel call per gate position instead of one per circuit per shard;
-* **dispatch** ships whole *chunks* of circuits to pool workers, so the
-  process-pool round trip is paid per chunk, not per shard.
+  same operands) into :class:`StackChunk` units (:func:`stack_chunks`),
+  each evolved as one stacked ``(batch, 2**n)`` ndarray pass through the
+  batched kernels of :mod:`repro.qx.kernels` — one kernel call per gate
+  position instead of one per circuit per shard.
+
+:class:`BatchRunner` executes those units inline or in the core's process
+pool.
 
 Determinism contract: circuit ``i``'s histogram is the merge of its shard
 histograms, where shard ``s`` samples with
@@ -26,8 +30,8 @@ serial :class:`~repro.runtime.runner.ExperimentRunner` sweep assigns to
 point ``i``, for any worker count and any chunk layout.  Circuits the
 stacked path cannot take (noise, feedback, pinned or auto-dispatched
 non-dense engines, >2-qubit gates) run through the ordinary
-:func:`~repro.runtime.worker.run_shard` inside fallback chunks, so their
-results match the serial path by construction.
+:func:`~repro.runtime.worker.run_shard`, so their results match the
+serial path by construction.
 """
 
 from __future__ import annotations
@@ -36,25 +40,28 @@ import copy
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.circuit_check import report
 from repro.core.circuit import Circuit
 from repro.qx import compiled, kernels
-from repro.qx.backends import CircuitProfile, DispatchPolicy, profile_circuit
-from repro.qx.compiled import LoweringPlan, program_for
-from repro.qx.error_models import error_model_for, noise_kind
+from repro.qx.compiled import LoweringPlan
 from repro.qx.keying import PreparedIndexSampler
-from repro.runtime.aggregate import PointResult, merge_counts, merge_metrics
-from repro.runtime.cache import ArtifactCache, default_cache_dir
-from repro.runtime.seeding import shard_seed, shard_sizes
-from repro.runtime.spec import CircuitSpec, CompilerSpec, PlatformSpec, SimulationSpec
-from repro.runtime.worker import ShardResult, ShardTask, program_cache_key, run_shard
+from repro.runtime.aggregate import PointResult
+from repro.runtime.runner import PlannedPoint, Runner, run_planned
+from repro.runtime.seeding import shard_seed
+from repro.runtime.spec import (
+    CircuitSpec,
+    CompilerSpec,
+    ExperimentSpec,
+    PlatformSpec,
+    SimulationSpec,
+    SweepPoint,
+)
+from repro.runtime.worker import ShardResult, ShardTask, run_shard
 
 
 @dataclass
@@ -157,11 +164,8 @@ class BatchSpec:
     def resolved_circuit(self, index: int) -> tuple[int, int, SimulationSpec, str]:
         """Circuit ``index``'s ``(shots, seed, simulation, label)`` after overrides.
 
-        The single resolution rule shared by :class:`BatchRunner` and the
-        experiment service (which schedules batch circuits as individual
-        points): ``None`` fields inherit the batch-level default, and the
-        returned :class:`~repro.runtime.spec.SimulationSpec` is an
-        independent copy.
+        ``None`` fields inherit the batch-level default, and the returned
+        :class:`~repro.runtime.spec.SimulationSpec` is an independent copy.
         """
         batch_circuit = self.circuits[index]
         shots = batch_circuit.shots if batch_circuit.shots is not None else self.shots
@@ -177,6 +181,31 @@ class BatchSpec:
             simulation.channel_fusion = batch_circuit.channel_fusion
         label = batch_circuit.label or f"circuit[{index}]"
         return shots, seed, simulation, label
+
+    def points(self) -> list[SweepPoint]:
+        """One single-circuit point per fleet entry, in fleet order.
+
+        Point ``i`` binds circuit ``i``'s resolved shots, seed and
+        simulation, so its shards follow the seeding contract in the module
+        docstring and its service point key is that of the equivalent
+        single-point experiment.
+        """
+        points = []
+        for index, batch_circuit in enumerate(self.circuits):
+            shots, seed, simulation, label = self.resolved_circuit(index)
+            bound = ExperimentSpec(
+                name=self.name,
+                circuit=batch_circuit.circuit,
+                platform=self.platform,
+                compiler=self.compiler,
+                simulation=simulation,
+                shots=shots,
+                seed=seed,
+                max_shard_shots=self.max_shard_shots,
+                min_shards=self.min_shards,
+            )
+            points.append(SweepPoint(index=index, params={"label": label}, spec=bound))
+        return points
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
@@ -208,31 +237,8 @@ class BatchSpec:
 
 
 # ---------------------------------------------------------------------- #
-# Planned circuits and chunks
+# Stack chunks
 # ---------------------------------------------------------------------- #
-@dataclass
-class PlannedBatchCircuit:
-    """One batch circuit resolved down to an executable description."""
-
-    index: int
-    label: str
-    shots: int
-    seed: int
-    num_qubits: int
-    gate_count: int
-    shard_shots: list[int]
-    stackable: bool
-    #: Shared lowering plan and concrete circuit of a stackable circuit
-    #: (matrices are stacked straight off the circuit at chunk build time —
-    #: no per-circuit program is ever materialised on this path).
-    plan: LoweringPlan | None = None
-    circuit: Circuit | None = None
-    #: Ordinary worker tasks of a fallback circuit.
-    tasks: list[ShardTask] = field(default_factory=list)
-    compile_cached: bool = False
-    plan_metrics: dict = field(default_factory=dict)
-
-
 @dataclass
 class StackEntry:
     """One row of a stacked chunk (picklable)."""
@@ -313,6 +319,7 @@ def _run_stack_chunk(chunk: StackChunk) -> list[ShardResult]:
                     shard_index=shard_index,
                     shots=size,
                     counts=sampler.sample(size, rng),
+                    metrics={"backend": "statevector"},
                 )
             )
     return results
@@ -505,380 +512,88 @@ class BatchResult:
         return atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-def _plan_profile(plan: LoweringPlan, circuit: Circuit, shots: int, noise: str) -> CircuitProfile:
-    """Build the dispatch profile of a plan's lowered form.
-
-    Equivalent to ``profile_program(lower(circuit))`` for every feature the
-    policy reads — gate arities, operand pairs, span, measurement and
-    trajectory flags, ``is_clifford=False`` — without materialising the
-    program.  (Fused runs count one gate each even when a particular
-    circuit's run would elide to the identity; that total only feeds the
-    cost model beyond the dense-engine tier, where stacking is off anyway.)
-    """
-    gate_count = 0
-    two_qubit = 0
-    span = 0
-    max_arity = 1
-    pairs: list[tuple[int, int]] = []
-    ops = circuit.operations
-    for step in plan.steps:
-        kind = step[0]
-        if kind == "run":
-            gate_count += 1
-        elif kind != "measure":  # "gate" or "cond"
-            qubits = ops[step[1]].qubits
-            arity = len(qubits)
-            gate_count += 1
-            if arity > max_arity:
-                max_arity = arity
-            if arity == 2:
-                first, second = qubits
-                two_qubit += 1
-                span += abs(first - second)
-                pairs.append((first, second))
-    return CircuitProfile(
-        num_qubits=circuit.num_qubits,
-        shots=shots,
-        gate_count=gate_count,
-        two_qubit_gate_count=two_qubit,
-        num_measurements=plan.num_measurements,
-        needs_trajectories=plan.needs_trajectories,
-        is_clifford=False,
-        noise=noise,
-        max_gate_qubits=max_arity,
-        total_gate_span=span,
-        _pairs=pairs,
-    )
-
-
 # ---------------------------------------------------------------------- #
 # The batch runner
 # ---------------------------------------------------------------------- #
-class BatchRunner:
-    """Plans and executes a :class:`BatchSpec`.
+def stack_chunks(rows: list[PlannedPoint], spec: BatchSpec) -> tuple[list[StackChunk], int]:
+    """Group stack rows by lowering plan and cut each group into chunks.
 
-    Mirrors :class:`~repro.runtime.runner.ExperimentRunner`'s three stages
-    (plan, shard, execute) with the fleet-level amortisations described in
-    the module docstring.
+    Rows share a group when they share a lowering plan: same gate positions
+    on the same operands, matrices and angles free to differ per row.  Plan
+    objects are interned by the structural cache, so identity is structure
+    equality here.  The layout is a pure function of the rows and the
+    spec's chunk bounds; returns the chunks and the number of groups.
+    """
+    groups: dict[tuple, list[PlannedPoint]] = {}
+    for row in rows:
+        groups.setdefault((row.num_qubits, id(row.plan)), []).append(row)
+    chunks: list[StackChunk] = []
+    # Insertion order = first-seen row order: deterministic layout.
+    for (num_qubits, _), members in groups.items():
+        plan = members[0].plan
+        _, sources = plan.sample_sources()
+        row_bytes = 16 << num_qubits
+        per_chunk = max(1, min(spec.max_chunk_circuits, spec.max_chunk_bytes // row_bytes))
+        for start in range(0, len(members), per_chunk):
+            window = members[start : start + per_chunk]
+            chunks.append(
+                StackChunk(
+                    num_qubits=num_qubits,
+                    steps=_stack_positions(plan, [member.circuit for member in window]),
+                    sources=sources,
+                    entries=[
+                        StackEntry(
+                            index=member.point.index,
+                            seed=member.point.spec.seed,
+                            shard_shots=member.shard_shots,
+                        )
+                        for member in window
+                    ],
+                )
+            )
+    return chunks, len(groups)
+
+
+class BatchRunner(Runner):
+    """Plans and executes a :class:`BatchSpec` on the runtime's core.
+
+    Planning marks the points as batch work, so stackable circuits become
+    stack rows; execution runs the stack chunks plus fallback chunks (the
+    other circuits' shard tasks, bundled ``max_chunk_circuits`` circuits per
+    pool task to amortise dispatch) through the shared inline/pool executor.
     """
 
-    def __init__(
-        self,
-        spec: BatchSpec,
-        workers: int | None = None,
-        cache_dir: str | os.PathLike | None = None,
-        use_cache: bool = True,
-        strict_verify: bool = False,
-    ):
-        from repro.runtime.runner import available_workers
+    def plan(self) -> list[PlannedPoint]:
+        return [self.planner.plan_point(point, stack=True) for point in self.spec.points()]
 
-        self.spec = spec
-        self.workers = max(1, workers if workers is not None else available_workers())
-        self.strict_verify = strict_verify
-        if use_cache:
-            self.cache: ArtifactCache | None = ArtifactCache(cache_dir or default_cache_dir())
-        else:
-            self.cache = None
-        self.policy = DispatchPolicy()
-        #: (plan, shard shots, pinned backend, noise) -> chosen engine.
-        self._dispatch_memo: dict[tuple, str] = {}
-        #: Plans already dataflow-verified (identity-keyed, like the
-        #: dispatch memo): structurally identical fleet circuits share a
-        #: plan, so the batch pays for one verification per structure.
-        self._verified_plans: set = set()
-
-    # ------------------------------------------------------------------ #
-    def _stack_dispatch(
-        self,
-        plan: LoweringPlan,
-        circuit: Circuit,
-        size: int,
-        backend: str | None,
-        noise: str,
-    ) -> str:
-        """The engine a shard of ``size`` shots would dispatch to.
-
-        Mirrors the worker's ``profile_program`` + ``DispatchPolicy.choose``
-        on the lowered program, built from the plan instead: every profile
-        feature is structural (lowered programs are never Clifford-eligible,
-        and fused runs count one gate each), so one decision serves every
-        circuit sharing the plan.  Gates wider than two qubits are mapped to
-        a non-stackable pseudo-engine, since the batched kernels stop at 4x4.
-        """
-        # Keyed on the plan object itself (identity hash): holding the
-        # reference prevents an evicted-and-freed plan's id being reused.
-        key = (plan, size, backend, noise)
-        chosen = self._dispatch_memo.get(key)
-        if chosen is None:
-            profile = _plan_profile(plan, circuit, size, noise)
-            if profile.max_gate_qubits > 2:
-                chosen = "unstackable"
-            elif backend is not None:
-                chosen = backend
-            else:
-                chosen = self.policy.choose(profile)
-            self._dispatch_memo[key] = chosen
-        return chosen
-
-    # ------------------------------------------------------------------ #
-    def _plan_circuit(
-        self, index: int, batch_circuit: BatchCircuit, platforms: dict
-    ) -> PlannedBatchCircuit:
-        spec = self.spec
-        shots, seed, simulation, label = spec.resolved_circuit(index)
-        circuit = batch_circuit.circuit.build()
-        platform = platforms.get(circuit.num_qubits)
-        if platform is None:
-            platform = spec.platform.build(default_num_qubits=circuit.num_qubits)
-            platforms[circuit.num_qubits] = platform
-        if circuit.num_qubits > platform.num_qubits:
-            raise ValueError(
-                f"batch circuit {label!r} needs {circuit.num_qubits} qubits, "
-                f"platform {platform.name!r} has {platform.num_qubits}"
-            )
-        qubit_model = platform.qubit_model
-        noise_free = qubit_model.is_perfect
-
-        compile_cached = False
-        cqasm: str | None = None
-        if spec.compiler.enabled:
-            # Same compile-cache key as the serial runner, so batch and
-            # serial runs share compiled artifacts both ways.
-            from repro.cqasm.parser import cqasm_to_circuit
-            from repro.cqasm.writer import circuit_to_cqasm
-
-            source_cqasm = circuit_to_cqasm(circuit)
-            key = ArtifactCache.key_for(
-                "compile",
-                source=source_cqasm,
-                platform=platform.describe(),
-                compiler=vars(spec.compiler),
-            )
-            compiled_cqasm = self.cache.get(key) if self.cache is not None else None
-            if not isinstance(compiled_cqasm, str):
-                built = spec.compiler.build().compile_circuit(circuit, platform)
-                compiled_cqasm = circuit_to_cqasm(built)
-                if self.cache is not None:
-                    self.cache.put(key, compiled_cqasm)
-            else:
-                compile_cached = True
-            cqasm = compiled_cqasm
-            exec_circuit = cqasm_to_circuit(cqasm)
-        else:
-            # No compilation: lower the built circuit directly.  The cQASM
-            # round trip is value-preserving (shortest-round-trip floats,
-            # gates rebuilt from the same mnemonics), so this matches the
-            # serial path's canonicalised lowering while skipping a
-            # write+parse per circuit; the text is only rendered lazily for
-            # circuits that fall back to worker tasks.
-            exec_circuit = circuit
-
-        shard_shots = shard_sizes(shots, spec.max_shard_shots, spec.min_shards)
-        noise = noise_kind(error_model_for(qubit_model))
-        if simulation.backend is not None:
-            # Fail fast in the parent, exactly like the serial runner.
-            self.policy.validate(
-                simulation.backend,
-                profile_circuit(exec_circuit, shots=shots, noise=noise),
-            )
-
-        plan: LoweringPlan | None = None
-        plan_metrics: dict = {}
-        if noise_free:
-            before = compiled.plan_cache_stats()
-            plan = compiled.plan_for(exec_circuit, fuse=True)
-            after = compiled.plan_cache_stats()
-            plan_metrics = {
-                "plan_cache_hits": after["hits"] - before["hits"],
-                "plan_cache_misses": after["misses"] - before["misses"],
-            }
-
-        # Lowering-time dataflow check.  Structurally identical circuits
-        # share a lowering plan, so fleets pay for one verification per
-        # structure rather than per circuit.
-        if plan is None or plan not in self._verified_plans:
-            if plan is not None:
-                self._verified_plans.add(plan)
-            report(exec_circuit, where=f"batch circuit {label!r}", strict=self.strict_verify)
-
-        stackable = (
-            plan is not None
-            and not plan.needs_trajectories
-            and plan.num_measurements > 0
-            # The engine run_shard would pick, per shard size (the cost
-            # model sees the shard's shots, not the circuit's): stack only
-            # when every shard lands on the dense sampled path.  The
-            # decision is structural, so it is memoised per (plan, size).
-            and all(
-                self._stack_dispatch(plan, exec_circuit, size, simulation.backend, noise)
-                == "statevector"
-                for size in sorted(set(shard_shots))
-            )
-        )
-
-        planned = PlannedBatchCircuit(
-            index=index,
-            label=label,
-            shots=shots,
-            seed=seed,
-            num_qubits=exec_circuit.num_qubits,
-            gate_count=exec_circuit.gate_count(),
-            shard_shots=shard_shots,
-            stackable=stackable,
-            plan=plan if stackable else None,
-            circuit=exec_circuit if stackable else None,
-            compile_cached=compile_cached,
-            plan_metrics=plan_metrics,
-        )
-        if not stackable:
-            if cqasm is None:
-                from repro.cqasm.writer import circuit_to_cqasm
-
-                cqasm = circuit_to_cqasm(circuit)
-            if self.cache is not None and noise_free:
-                # Pre-warm the disk program cache like the serial planner,
-                # so pool workers get artifact hits instead of re-lowering.
-                disk_key = program_cache_key(cqasm, True)
-                if self.cache.get(disk_key) is None:
-                    self.cache.put(disk_key, program_for(exec_circuit, fuse=True))
-            cache_dir = str(self.cache.directory) if self.cache is not None else None
-            planned.tasks = [
-                ShardTask(
-                    cqasm=cqasm,
-                    num_qubits=exec_circuit.num_qubits,
-                    shots=size,
-                    root_seed=seed,
-                    point_index=index,
-                    shard_index=shard_index,
-                    qubit_model=None if noise_free else qubit_model,
-                    cache_dir=cache_dir,
-                    backend=simulation.backend,
-                    max_bond=simulation.max_bond,
-                    truncation_threshold=simulation.truncation_threshold,
-                    channel_fusion=simulation.channel_fusion,
-                )
-                for shard_index, size in enumerate(shard_shots)
-            ]
-        return planned
-
-    def plan(self) -> list[PlannedBatchCircuit]:
-        platforms: dict = {}
-        return [
-            self._plan_circuit(index, batch_circuit, platforms)
-            for index, batch_circuit in enumerate(self.spec.circuits)
-        ]
-
-    # ------------------------------------------------------------------ #
-    def _chunks(
-        self, planned: list[PlannedBatchCircuit]
-    ) -> tuple[list[StackChunk | FallbackChunk], int, int]:
-        """Deterministic chunk layout: pure function of the planned batch."""
-        spec = self.spec
-        groups: dict[tuple, list[PlannedBatchCircuit]] = {}
-        fallback: list[PlannedBatchCircuit] = []
-        for circuit in planned:
-            if not circuit.stackable:
-                fallback.append(circuit)
-                continue
-            # Stack rows that share a lowering plan: same gate positions on
-            # the same operands (matrices and angles free to differ per
-            # row).  Plan objects are interned by the structural cache, so
-            # identity is structure equality here.
-            key = (circuit.num_qubits, id(circuit.plan))
-            groups.setdefault(key, []).append(circuit)
-
-        chunks: list[StackChunk | FallbackChunk] = []
-        # Insertion order = first-seen circuit order: deterministic layout.
-        for key, members in groups.items():
-            num_qubits = key[0]
-            plan = members[0].plan
-            _, sources = plan.sample_sources()
-            row_bytes = 16 << num_qubits
-            per_chunk = max(1, min(spec.max_chunk_circuits, spec.max_chunk_bytes // row_bytes))
-            for start in range(0, len(members), per_chunk):
-                window = members[start : start + per_chunk]
-                steps = _stack_positions(plan, [member.circuit for member in window])
-                chunks.append(
-                    StackChunk(
-                        num_qubits=num_qubits,
-                        steps=steps,
-                        sources=sources,
-                        entries=[
-                            StackEntry(
-                                index=member.index,
-                                seed=member.seed,
-                                shard_shots=member.shard_shots,
-                            )
-                            for member in window
-                        ],
-                    )
-                )
-        stack_chunk_count = len(chunks)
-        pending: list[ShardTask] = []
-        pending_circuits = 0
-        for circuit in fallback:
-            pending.extend(circuit.tasks)
-            pending_circuits += 1
-            if pending_circuits >= spec.max_chunk_circuits:
-                chunks.append(FallbackChunk(tasks=pending))
-                pending, pending_circuits = [], 0
-        if pending:
-            chunks.append(FallbackChunk(tasks=pending))
-        return chunks, stack_chunk_count, len(groups)
-
-    # ------------------------------------------------------------------ #
     def run(self) -> BatchResult:
         start = time.perf_counter()
         planned = self.plan()
-        chunks, stack_chunk_count, stack_groups = self._chunks(planned)
-        exec_start = time.perf_counter()
-
-        if self.workers == 1 or len(chunks) <= 1:
-            chunk_results = [run_batch_chunk(chunk) for chunk in chunks]
-        else:
-            with ProcessPoolExecutor(max_workers=min(self.workers, len(chunks))) as pool:
-                chunk_results = list(pool.map(run_batch_chunk, chunks))
-        shard_results = [shard for result in chunk_results for shard in result]
-        end = time.perf_counter()
-
-        by_circuit: dict[int, list[ShardResult]] = {}
-        for shard in shard_results:
-            by_circuit.setdefault(shard.point_index, []).append(shard)
-
-        result = BatchResult(
+        units, stack_groups = stack_chunks([p for p in planned if p.stackable], self.spec)
+        stack_chunk_count = len(units)
+        fallback = [p for p in planned if not p.stackable]
+        step = self.spec.max_chunk_circuits
+        units += [
+            FallbackChunk(tasks=[task for p in fallback[first : first + step] for task in p.tasks])
+            for first in range(0, len(fallback), step)
+        ]
+        circuits = run_planned(planned, units, self.workers)
+        return BatchResult(
             name=self.spec.name,
             workers=self.workers,
+            circuits=circuits,
+            total_time_s=time.perf_counter() - start,
             cache_stats=self.cache.stats() if self.cache is not None else {},
             plan={
                 "circuits": len(planned),
-                "stacked_circuits": sum(1 for c in planned if c.stackable),
-                "fallback_circuits": sum(1 for c in planned if not c.stackable),
+                "stacked_circuits": len(planned) - len(fallback),
+                "fallback_circuits": len(fallback),
                 "stack_groups": stack_groups,
                 "stack_chunks": stack_chunk_count,
-                "chunks": len(chunks),
+                "chunks": len(units),
                 "plan_cache": compiled.plan_cache_stats(),
-                "program_content_cache": compiled.content_cache_stats(),
             },
         )
-        for circuit in planned:
-            shards = by_circuit.get(circuit.index, [])
-            metrics = merge_metrics([circuit.plan_metrics] + [shard.metrics for shard in shards])
-            result.circuits.append(
-                PointResult(
-                    index=circuit.index,
-                    params={"label": circuit.label},
-                    shots=sum(shard.shots for shard in shards),
-                    num_qubits=circuit.num_qubits,
-                    counts=merge_counts(shard.counts for shard in shards),
-                    errors_injected=sum(shard.errors_injected for shard in shards),
-                    metrics=metrics,
-                    gate_count=circuit.gate_count,
-                    compile_cached=circuit.compile_cached,
-                    wall_time_s=end - exec_start,
-                )
-            )
-        result.total_time_s = end - start
-        return result
 
 
 def run_batch(

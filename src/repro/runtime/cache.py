@@ -83,6 +83,9 @@ class ArtifactCache:
         self.misses = 0
         self.writes = 0
         self.evictions = 0
+        #: Bytes on disk: one directory scan, then kept current by this
+        #: instance's own writes and evictions (``None`` until scanned).
+        self._size: int | None = None
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -115,6 +118,7 @@ class ArtifactCache:
                 path.unlink()
             except OSError:
                 pass
+            self._size = None  # the purged entry's size is unknown: rescan
             return None
         self.hits += 1
         return value
@@ -127,6 +131,12 @@ class ArtifactCache:
         try:
             with os.fdopen(descriptor, "wb") as handle:
                 pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                written = handle.tell()
+            if self._size is not None:
+                try:
+                    written -= path.stat().st_size  # replacing an existing entry
+                except OSError:
+                    pass
             os.replace(temp_name, path)
         except BaseException:
             try:
@@ -135,6 +145,8 @@ class ArtifactCache:
                 pass
             raise
         self.writes += 1
+        if self._size is not None:
+            self._size += written
 
     # ------------------------------------------------------------------ #
     def _entries(self) -> list[tuple[float, int, Path]]:
@@ -149,8 +161,16 @@ class ArtifactCache:
         return entries
 
     def size_bytes(self) -> int:
-        """Total on-disk size of all cached entries (scans the directory)."""
-        return sum(size for _, size, _ in self._entries())
+        """Total on-disk size of all cached entries.
+
+        The first call scans the directory; later calls return that total
+        kept current by this instance's own writes and evictions, without
+        I/O.  Entries other processes publish (pool workers) are counted
+        from the next :meth:`prune`, which rescans.
+        """
+        if self._size is None:
+            self._size = sum(size for _, size, _ in self._entries())
+        return self._size
 
     def prune(self, max_bytes: int) -> dict:
         """Evict least-recently-written entries until the store fits ``max_bytes``.
@@ -175,6 +195,7 @@ class ArtifactCache:
             total -= size
             evicted += 1
         self.evictions += evicted
+        self._size = total
         return {"evicted": evicted, "size_bytes": total}
 
     def clear(self) -> int:
@@ -186,6 +207,7 @@ class ArtifactCache:
                 removed += 1
             except OSError:
                 pass
+        self._size = None
         return removed
 
     def stats(self) -> dict:

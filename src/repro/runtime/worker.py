@@ -351,8 +351,7 @@ def run_shard(task: ShardTask | QecShardTask | CompileShardTask) -> ShardResult:
         result = simulator.run_program(load_program(task), shots=task.shots)
         metrics["program_cache_hits"] = _program_memo_stats["hits"] - before["hits"]
         metrics["program_cache_misses"] = _program_memo_stats["misses"] - before["misses"]
-    if result.backend != "statevector":
-        metrics["backend"] = result.backend
+    metrics["backend"] = result.backend
     if result.backend == "mps":
         metrics["truncation_error"] = result.truncation_error
     return ShardResult(

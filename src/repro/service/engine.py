@@ -2,7 +2,8 @@
 
 :class:`JobService` is the daemon's core, independent of any transport.
 Submissions become :class:`~repro.service.jobs.Job` objects; each job's
-sweep points are classified exactly once:
+sweep points (``spec.points()``, the runtime's one enumeration) are
+classified exactly once:
 
 - **cache hit** — the point's content-addressed key is already in the
   artifact cache, so its merged result is served immediately without
@@ -10,17 +11,18 @@ sweep points are classified exactly once:
 - **in flight** — another tenant is already executing an identical point,
   so this job subscribes to that execution and receives the result when it
   lands (exactly one execution, many subscribers);
-- **fresh** — the point is planned (compile + shard, in the planning
-  executor) and its shard tasks enter the weighted-fair scheduler.
+- **fresh** — the runtime's :class:`~repro.runtime.runner.Planner` plans
+  the point (compile + shard, in the planning executor) and its shard
+  tasks enter the weighted-fair scheduler.
 
 A pump coroutine moves shard tasks from the scheduler into a process pool
 as slots free up; every blocking runtime entry point — planning, shard
 execution, cache and journal I/O — runs in an executor, never on the event
-loop (contract rule REPRO008).  Shard merging reuses the runtime's
-:func:`~repro.runtime.aggregate.merge_counts` /
-:func:`~repro.runtime.aggregate.merge_metrics` over the deterministic
-shard list, so a job's histograms are bit-identical to a serial
-:class:`~repro.runtime.runner.ExperimentRunner` run of the same spec.
+loop (contract rule REPRO008).  A point completes when all its shards have
+landed, and the runtime's :func:`~repro.runtime.runner.fold` merges them in
+shard order, so a job's histograms are bit-identical to an
+:class:`~repro.runtime.runner.ExperimentRunner` or
+:class:`~repro.runtime.batch.BatchRunner` run of the same spec.
 
 Durability: accepted jobs and committed point keys are journalled
 (flush + fsync) before the daemon acts on them.  On restart with the same
@@ -38,12 +40,11 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.runtime.aggregate import merge_counts, merge_metrics
 from repro.runtime.cache import ArtifactCache
-from repro.runtime.runner import PlannedPoint, available_workers
+from repro.runtime.runner import PlannedPoint, Planner, available_workers, fold
 from repro.runtime.spec import SweepPoint
 from repro.runtime.worker import run_shard
-from repro.service.jobs import Job, job_planner, job_points, parse_job_spec, point_key
+from repro.service.jobs import Job, parse_job_spec, point_key
 from repro.service.journal import JobJournal
 from repro.service.scheduler import FairScheduler
 
@@ -125,6 +126,8 @@ class JobService:
         self._wake = asyncio.Condition()
         self._pump_task = asyncio.create_task(self._pump())
         self._started = True
+        # Scan the cache once off-loop; stats() then reports its size in O(1).
+        await self._run_io(self.cache.size_bytes)
         if self.resume:
             await self._resume_from_journal()
 
@@ -238,11 +241,11 @@ class JobService:
         """Classify a job's points into cached / in-flight / fresh work."""
         try:
             spec = parse_job_spec(job.payload, job.kind)
-            points = job_points(spec)
+            points = spec.points()
             job.name = job.name or spec.name
             job.points_total = len(points)
             job.state = "running"
-            planner = None
+            planner = Planner(self.cache, self.strict_verify)
             from_cache = joined = fresh = 0
             for point in points:
                 key = point_key(point)
@@ -266,10 +269,6 @@ class JobService:
                         await self._deliver_point(sub_job, sub_point, cached, source="cache")
                     continue
                 try:
-                    if planner is None:
-                        planner = await self._run_io(
-                            job_planner, spec, self.cache, self.strict_verify
-                        )
                     planned = await self._run_io(planner.plan_point, point)
                 except Exception:
                     self._inflight.pop(key, None)
@@ -342,21 +341,13 @@ class JobService:
                 self._wake.notify_all()
 
     async def _complete_execution(self, execution: _PointExecution) -> None:
-        """Merge shards, commit the point, and fan out to subscribers."""
+        """Fold the point's shards, commit it, and fan out to subscribers."""
         self._inflight.pop(execution.key, None)
-        shards = [execution.results[index] for index in sorted(execution.results)]
-        planned = execution.planned
-        merged = {
-            "shots": sum(shard.shots for shard in shards),
-            "num_qubits": planned.num_qubits,
-            "gate_count": planned.gate_count,
-            "counts": merge_counts(shard.counts for shard in shards),
-            "errors_injected": sum(shard.errors_injected for shard in shards),
-            "compile_cached": planned.compile_cached,
-            "compile_time_s": planned.compile_time_s,
-            "wall_time_s": time.monotonic() - execution.started_s,
-            "metrics": merge_metrics(shard.metrics for shard in shards),
-        }
+        merged = fold(
+            execution.planned,
+            list(execution.results.values()),
+            wall_time_s=time.monotonic() - execution.started_s,
+        ).to_dict()
         await self._run_io(self.cache.put, execution.key, merged)
         await self._run_io(self.journal.append, {"type": "point", "key": execution.key})
         if self.max_cache_bytes is not None:
@@ -372,12 +363,8 @@ class JobService:
         if job.finished:
             return
         metrics = dict(merged.get("metrics", {}))
-        cache_stats = self.cache.stats()
-        metrics["artifact_cache_hits"] = cache_stats["hits"]
-        metrics["artifact_cache_misses"] = cache_stats["misses"]
-        metrics["artifact_cache_writes"] = cache_stats["writes"]
-        metrics["artifact_cache_evictions"] = cache_stats["evictions"]
-        metrics["artifact_cache_size_bytes"] = await self._run_io(self.cache.size_bytes)
+        for name, value in self.cache.stats().items():
+            metrics[f"artifact_cache_{name}"] = value
         metrics["point_source"] = source
         result = {
             "index": point.index,
@@ -462,7 +449,7 @@ class JobService:
     def stats(self) -> dict:
         return {
             "counters": dict(self.counters),
-            "cache": self.cache.stats(),
+            "cache": {**self.cache.stats(), "size_bytes": self.cache.size_bytes()},
             "backlog": self._scheduler.backlog(),
             "inflight_points": len(self._inflight),
             "jobs": len(self.jobs),

@@ -352,4 +352,4 @@ class TestWiring:
         assert len(planned) == 3
         # Structurally identical rotations circuits share one plan, so the
         # batch verified one structure, not three circuits.
-        assert len(runner._verified_plans) == 1
+        assert len(runner.planner._verified_plans) == 1

@@ -265,6 +265,15 @@ class TestWorkerState:
         found = codes(lint_source(source, "src/repro/runtime/worker.py"))
         assert "REPRO006" in found
 
+    def test_runner_module_in_scope(self):
+        # run_unit executes in pool workers, so the core module is covered.
+        source = (
+            "_SEEN = set()\n"
+            "def run_unit(unit):\n"
+            "    _SEEN.add(unit)\n"
+        )
+        assert codes(lint_source(source, "src/repro/runtime/runner.py")) == ["REPRO006"]
+
     def test_module_level_initialisation_allowed(self):
         source = "_CACHE = {}\n_CACHE['warm'] = True\n"
         assert lint_source(source, "src/repro/runtime/worker.py") == []
@@ -351,6 +360,32 @@ class TestEventLoopBlocking:
             "    return run_batch(spec)\n"
         )
         assert codes(lint_source(source, "src/repro/service/http.py")) == ["REPRO008"]
+
+    def test_core_entry_points_in_coroutine_flagged(self):
+        source = (
+            "from repro.runtime.batch import run_batch_chunk, stack_chunks\n"
+            "from repro.runtime.runner import execute, run_planned, run_unit\n"
+            "async def handle(chunk, units, planned, rows, spec, planner, point):\n"
+            "    run_batch_chunk(chunk)\n"
+            "    run_unit(chunk)\n"
+            "    execute(units, 2)\n"
+            "    run_planned(planned, units, 2)\n"
+            "    stack_chunks(rows, spec)\n"
+            "    planner.plan_point(point, True)\n"
+        )
+        assert codes(lint_source(source, "src/repro/service/engine.py")) == ["REPRO008"] * 6
+
+    def test_core_entry_points_via_executor_allowed(self):
+        source = (
+            "from repro.runtime.batch import run_batch_chunk, stack_chunks\n"
+            "from repro.runtime.runner import run_unit\n"
+            "async def handle(loop, pool, io, chunk, rows, spec, planner, point):\n"
+            "    await loop.run_in_executor(pool, run_batch_chunk, chunk)\n"
+            "    await loop.run_in_executor(pool, run_unit, chunk)\n"
+            "    await loop.run_in_executor(io, stack_chunks, rows, spec)\n"
+            "    await loop.run_in_executor(io, planner.plan_point, point, True)\n"
+        )
+        assert lint_source(source, "src/repro/service/engine.py") == []
 
     def test_executor_dispatch_allowed(self):
         source = (

@@ -7,6 +7,7 @@ produces, for every circuit ``i``, the *bit-identical* histogram a serial
 overrides, and cross-mapped measurement bits.
 """
 
+import asyncio
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from repro.qx.keying import PreparedIndexSampler, sample_index_counts
 from repro.runtime.batch import BatchCircuit, BatchRunner, BatchSpec, run_batch
 from repro.runtime.runner import ExperimentRunner
 from repro.runtime.spec import CircuitSpec, CompilerSpec, ExperimentSpec, SimulationSpec
+from repro.service import JobService
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -123,6 +125,46 @@ def test_mixed_backend_batch_matches_serial():
     assert batch.plan["fallback_circuits"] == 2
     for circuit in batch.circuits:
         assert set(circuit.counts) <= {"00000", "11111"}
+
+
+def test_every_point_names_its_engine(tmp_path):
+    """Stack rows and every fallback kind report ``metrics["backend"]``,
+    through the batch runner and through a service batch job."""
+    feedback = (
+        "version 1.0\nqubits 2\nh q[0]\nmeasure q[0], b[0]\nc-x b[0], q[1]\nmeasure q[1], b[1]\n"
+    )
+    ghz = CircuitSpec(builder="ghz", kwargs={"num_qubits": 4})
+    spec = BatchSpec(
+        name="engines",
+        circuits=[
+            BatchCircuit(circuit=CircuitSpec(builder="rotations", kwargs={**ROTATIONS, "seed": 1})),
+            BatchCircuit(circuit=CircuitSpec(builder="rotations", kwargs={**ROTATIONS, "seed": 2})),
+            BatchCircuit(circuit=CircuitSpec(cqasm=feedback, measure="asis")),  # trajectories
+            BatchCircuit(circuit=ghz, backend="stabilizer"),
+            BatchCircuit(circuit=ghz, backend="mps"),
+        ],
+        shots=64,
+        compiler=CompilerSpec(enabled=False),
+    )
+    engines = ["statevector", "statevector", "statevector", "stabilizer", "mps"]
+    batch = run_batch(spec, workers=1, use_cache=False)
+    assert batch.plan["stacked_circuits"] == 2
+    assert [circuit.metrics.get("backend") for circuit in batch.circuits] == engines
+
+    async def service_job():
+        service = JobService(
+            cache_dir=tmp_path / "cache", data_dir=tmp_path / "data", use_processes=False
+        )
+        await service.start()
+        try:
+            accepted = await service.submit(client="alice", kind="batch", payload=spec.to_dict())
+            return [event async for event in service.stream(accepted["job_id"])][-1]
+        finally:
+            await service.close()
+
+    done = asyncio.run(service_job())
+    assert done["event"] == "done"
+    assert [point["metrics"].get("backend") for point in done["result"]["points"]] == engines
 
 
 # ---------------------------------------------------------------------- #

@@ -244,6 +244,24 @@ def test_cache_prune_evicts_oldest_entries_first(tmp_path):
     assert "evictions" in cache.stats()
 
 
+def test_cache_size_tracks_own_writes_and_evictions(tmp_path):
+    """size_bytes() scans once, then follows puts, overwrites and prunes."""
+
+    def scanned():
+        return ArtifactCache(tmp_path / "cache").size_bytes()
+
+    cache = ArtifactCache(tmp_path / "cache")
+    assert cache.size_bytes() == 0
+    keys = [cache.key_for("blob", index=i) for i in range(3)]
+    for key in keys:
+        cache.put(key, "x" * 1024)
+    assert cache.size_bytes() == scanned() > 0
+    cache.put(keys[0], "y" * 4096)  # overwrite with a larger entry
+    assert cache.size_bytes() == scanned()
+    cache.prune(max_bytes=cache.size_bytes() // 2)
+    assert cache.size_bytes() == scanned()
+
+
 def test_cache_prune_rejects_negative_budget(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
     with pytest.raises(ValueError):

@@ -24,12 +24,15 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+import repro.service.engine as engine
 from repro.runtime import (
+    BatchCircuit,
     BatchSpec,
     CircuitSpec,
     ExperimentRunner,
@@ -38,7 +41,6 @@ from repro.runtime import (
     run_batch,
 )
 from repro.service import FairScheduler, JobJournal, JobService, ServiceClient, point_key
-from repro.service.jobs import job_points
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -165,19 +167,19 @@ class TestJobJournal:
 # ---------------------------------------------------------------------- #
 class TestPointKey:
     def test_name_does_not_affect_identity(self):
-        left = job_points(_ghz_spec(name="alice-run"))
-        right = job_points(_ghz_spec(name="bob-run"))
+        left = _ghz_spec(name="alice-run").points()
+        right = _ghz_spec(name="bob-run").points()
         assert [point_key(p) for p in left] == [point_key(p) for p in right]
 
     def test_seed_and_shard_layout_affect_identity(self):
-        base = job_points(_ghz_spec())[0]
-        reseeded = job_points(_ghz_spec(seed=10))[0]
-        resharded = job_points(_ghz_spec(min_shards=4))[0]
+        base = _ghz_spec().points()[0]
+        reseeded = _ghz_spec(seed=10).points()[0]
+        resharded = _ghz_spec(min_shards=4).points()[0]
         assert point_key(base) != point_key(reseeded)
         assert point_key(base) != point_key(resharded)
 
     def test_points_of_one_sweep_are_distinct(self):
-        keys = [point_key(point) for point in job_points(_ghz_spec())]
+        keys = [point_key(point) for point in _ghz_spec().points()]
         assert len(set(keys)) == len(keys)
 
     def test_batch_points_follow_batch_seeding_contract(self):
@@ -192,7 +194,7 @@ class TestPointKey:
                 ],
             }
         )
-        points = job_points(spec)
+        points = spec.points()
         assert [point.index for point in points] == [0, 1]
         assert points[0].spec.seed == 5
         assert points[1].spec.seed == 11
@@ -214,11 +216,11 @@ class TestJobServiceEngine:
             service = _service(tmp_path)
             await service.start()
             try:
-                return await _run_job(service, spec)
+                return await _run_job(service, spec), service.stats()
             finally:
                 await service.close()
 
-        _, events = asyncio.run(scenario())
+        (_, events), stats = asyncio.run(scenario())
         kinds = [event["event"] for event in events]
         assert kinds[0] == "accepted"
         assert "planned" in kinds
@@ -237,9 +239,10 @@ class TestJobServiceEngine:
             "artifact_cache_misses",
             "artifact_cache_writes",
             "artifact_cache_evictions",
-            "artifact_cache_size_bytes",
         ):
             assert key in metrics
+        # The cache size is a daemon-level figure, reported by stats().
+        assert stats["cache"]["size_bytes"] > 0
 
     def test_batch_job_matches_batch_runner(self, tmp_path):
         spec = BatchSpec.from_dict(
@@ -268,6 +271,75 @@ class TestJobServiceEngine:
         assert done["event"] == "done"
         for reference_point, svc_point in zip(reference.circuits, done["result"]["points"]):
             assert svc_point["counts"] == reference_point.counts
+
+    def test_mixed_batch_job_matches_run_batch_and_joins_inflight_point(
+        self, tmp_path, monkeypatch
+    ):
+        """Stackable circuits, pinned-engine fallbacks and a point another
+        tenant's experiment job is already executing: the batch job's
+        histograms equal run_batch's, and the shared point executes once."""
+        ghz = CircuitSpec(builder="ghz", kwargs={"num_qubits": 4})
+        rotations = [
+            CircuitSpec(builder="rotations", kwargs={"num_qubits": 4, "depth": 2, "seed": seed})
+            for seed in range(4)
+        ]
+        spec = BatchSpec(
+            name="mixed",
+            circuits=[BatchCircuit(circuit=circuit) for circuit in rotations]
+            + [BatchCircuit(circuit=ghz, backend=backend) for backend in ("stabilizer", "mps")],
+            shots=256,
+            seed=7,
+            max_shard_shots=64,
+            min_shards=2,
+        )
+        reference = run_batch(spec, workers=1, use_cache=False)
+        assert reference.plan["stacked_circuits"] == 4
+        assert reference.plan["fallback_circuits"] == 2
+        shared = spec.points()[0]
+        experiment = ExperimentSpec.from_dict({**shared.spec.to_dict(), "name": "bob-run"})
+        assert point_key(experiment.points()[0]) == point_key(shared)
+
+        # Hold every shard until both jobs are admitted, so bob's point is
+        # still in flight when alice's batch job classifies it.
+        gate = threading.Event()
+        run_shard = engine.run_shard
+
+        def gated_run_shard(task):
+            assert gate.wait(60)
+            return run_shard(task)
+
+        monkeypatch.setattr(engine, "run_shard", gated_run_shard)
+
+        async def planned(service, job_id):
+            while not any(e["event"] == "planned" for e in service.jobs[job_id].events):
+                await asyncio.sleep(0.005)
+
+        async def scenario():
+            service = _service(tmp_path)
+            await service.start()
+            try:
+                bob = await service.submit(
+                    client="bob", kind="experiment", payload=experiment.to_dict()
+                )
+                await planned(service, bob["job_id"])
+                alice = await service.submit(client="alice", kind="batch", payload=spec.to_dict())
+                await planned(service, alice["job_id"])
+                gate.set()
+                streams = []
+                for accepted in (bob, alice):
+                    streams.append([e async for e in service.stream(accepted["job_id"])])
+                return streams, service.stats()["counters"]
+            finally:
+                gate.set()
+                await service.close()
+
+        (bob_events, alice_events), counters = asyncio.run(scenario())
+        alice_points = _terminal(alice_events)["result"]["points"]
+        assert [p["counts"] for p in alice_points] == [c.counts for c in reference.circuits]
+        assert _terminal(bob_events)["result"]["points"][0]["counts"] == alice_points[0]["counts"]
+        assert [e["source"] for e in _point_events(alice_events)].count("inflight") == 1
+        assert counters["points_deduped_inflight"] == 1
+        assert counters["points_executed"] == 1 + 5
 
     def test_identical_submissions_execute_once_with_two_subscribers(self, tmp_path):
         spec = _ghz_spec(sweep={}, shots=20_000, max_shard_shots=4096, min_shards=8)
