@@ -10,11 +10,14 @@ to the elapsed time and classical measurement read-out errors.
 Every model has *one* definition of its physics and two execution views of
 it:
 
-* the **trajectory view** (:meth:`ErrorModel.apply_after_gate` /
-  :meth:`ErrorModel.flip_measurement`) stochastically injects Pauli
-  operations into a :class:`~repro.qx.statevector.StateVector`, one
-  physical shot per run, drawing exactly once per error location from the
-  seeded stream (the bit-identity contract the regression tests pin);
+* the **trajectory view** (:meth:`ErrorModel.gate_events` /
+  :meth:`ErrorModel.confusion`) lists the error locations after a gate as
+  :class:`NoiseEvent` records, each consuming a fixed number of uniforms
+  from the seeded stream whatever its outcome (trajectory stream v2).  The
+  stacked trajectory engine (:mod:`repro.qx.trajectories`) injects them
+  into many shots at once; :meth:`ErrorModel.apply_after_gate` /
+  :meth:`ErrorModel.flip_measurement` inject them into one state (a batch
+  of one, used by the MPS engine and direct callers);
 * the **channel view** (:meth:`ErrorModel.noise_channels` /
   :meth:`ErrorModel.confusion`) returns the exact
   :class:`~repro.qx.channels.Channel` the trajectory process averages to,
@@ -38,6 +41,76 @@ from repro.qx.statevector import StateVector
 #: The channel view's return type: ``(qubits, channel)`` placements.
 ChannelPlacements = "list[tuple[tuple[int, ...], Channel]]"
 
+#: Branches of a :class:`NoiseEvent`, in the order of its thresholds;
+#: ``NO_ERROR`` is the branch past the last threshold.
+PAULI_X, PAULI_Y, PAULI_Z, RESET, NO_ERROR = range(5)
+
+
+@dataclass(frozen=True)
+class NoiseEvent:
+    """One error location on one qubit: the unit of trajectory stream v2.
+
+    The event consumes exactly ``draws`` uniforms whatever happens.  The
+    first selects the branch (:func:`select_branches`): ``u < thresholds[0]``
+    applies X, ``u < thresholds[1]`` Y, ``u < thresholds[2]`` Z and
+    ``u < thresholds[3]`` measures the qubit and resets it to ``|0>``;
+    anything else is no error.  A reset-capable event has ``draws == 2``
+    and spends its second uniform on that measurement, under the shared
+    measurement rule (outcome 1 iff ``u2 < P(1)``).
+    """
+
+    qubit: int
+    thresholds: tuple[float, float, float, float]
+    draws: int = 1
+
+    @classmethod
+    def pauli(cls, qubit: int, p_x: float, p_y: float, p_z: float) -> "NoiseEvent":
+        return cls(qubit, (p_x, p_x + p_y, p_x + p_y + p_z, p_x + p_y + p_z))
+
+    @classmethod
+    def decay(cls, qubit: int, p_decay: float, p_dephase: float) -> "NoiseEvent":
+        """Reset with ``p_decay``; otherwise Z with ``p_dephase``."""
+        p_z = (1.0 - p_decay) * p_dephase
+        return cls(qubit, (0.0, 0.0, p_z, p_z + p_decay), draws=2)
+
+
+def select_branches(thresholds: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Branch chosen by each selection draw: the number of thresholds ``<= u``.
+
+    ``thresholds`` has shape ``(..., 4)`` and broadcasts against
+    ``uniforms``; the one rule both the stacked engine and the one-state
+    adapter apply.
+    """
+    return (np.asarray(uniforms)[..., None] >= thresholds).sum(axis=-1)
+
+
+def flip_readouts(outcomes, confusion: np.ndarray, uniforms):
+    """Reported outcomes: a true outcome ``a`` flips iff ``u < confusion[a, 1 - a]``."""
+    return outcomes ^ (uniforms < confusion[outcomes, 1 - outcomes])
+
+
+def apply_events(state, events: list[NoiseEvent], uniforms: np.ndarray) -> int:
+    """Inject ``events`` into one state from their ``uniforms``; returns the count fired.
+
+    ``state`` is a :class:`~repro.qx.statevector.StateVector` or an MPS
+    state (anything with ``apply_pauli``, ``probability_of_one`` and
+    ``collapse``); ``uniforms`` holds the events' draws in order.
+    """
+    injected = 0
+    column = 0
+    for event in events:
+        branch = int(select_branches(np.asarray(event.thresholds), uniforms[column]))
+        if branch == RESET:
+            outcome = int(uniforms[column + 1] < state.probability_of_one(event.qubit))
+            state.collapse(event.qubit, outcome)
+            if outcome:
+                state.apply_pauli("x", event.qubit)
+        elif branch != NO_ERROR:
+            state.apply_pauli("xyz"[branch], event.qubit)
+        injected += branch != NO_ERROR
+        column += event.draws
+    return injected
+
 
 class ErrorModel:
     """Interface for stochastic error injection and its exact channel."""
@@ -47,6 +120,17 @@ class ErrorModel:
     #: for running on the density engine instead of trajectories.
     channel_exact: bool = False
 
+    def gate_events(
+        self, qubits: tuple[int, ...], duration_ns: float, num_qubits: int
+    ) -> list[NoiseEvent]:
+        """The error locations after a gate on ``qubits``, in draw order.
+
+        The layout (events and their draw counts) depends on the model's
+        type and the gate's geometry, never on the rates, so every shot of
+        a program consumes the same number of uniforms.
+        """
+        return []
+
     def apply_after_gate(
         self,
         state: StateVector,
@@ -54,12 +138,23 @@ class ErrorModel:
         duration_ns: float,
         rng: np.random.Generator,
     ) -> int:
-        """Inject errors after a gate; returns the number of errors injected."""
-        return 0
+        """Inject errors after a gate into one state; returns the number injected.
+
+        Draws the events' uniforms as one block, exactly as one row of the
+        stacked engine's draw block.
+        """
+        events = self.gate_events(tuple(qubits), duration_ns, state.num_qubits)
+        return apply_events(state, events, rng.random(sum(event.draws for event in events)))
 
     def flip_measurement(self, outcome: int, rng: np.random.Generator) -> int:
-        """Possibly flip a classical measurement outcome."""
-        return outcome
+        """Report a measurement outcome through the read-out confusion.
+
+        One uniform when the model has read-out error, none otherwise.
+        """
+        confusion = self.confusion()
+        if confusion is None:
+            return outcome
+        return int(flip_readouts(outcome, confusion, rng.random()))
 
     def noise_channels(
         self, qubits: tuple[int, ...], duration_ns: float
@@ -120,15 +215,9 @@ class DepolarizingError(ErrorModel):
             return self.two_qubit_error_rate
         return self.error_rate
 
-    def apply_after_gate(self, state, qubits, duration_ns, rng) -> int:
+    def gate_events(self, qubits, duration_ns, num_qubits):
         rate = self.rate_for(qubits)
-        injected = 0
-        for qubit in qubits:
-            if rng.random() < rate:
-                pauli = ("x", "y", "z")[int(rng.integers(3))]
-                state.apply_pauli(pauli, qubit)
-                injected += 1
-        return injected
+        return [NoiseEvent(qubit, (rate / 3, 2 * rate / 3, rate, rate)) for qubit in qubits]
 
     def noise_channels(self, qubits, duration_ns):
         channel = Channel.depolarizing(self.rate_for(qubits))
@@ -167,22 +256,11 @@ class DecoherenceError(ErrorModel):
         p_dephase = 1.0 - np.exp(-duration_ns * inv_tphi) if inv_tphi > 0 else 0.0
         return float(p_decay), float(p_dephase)
 
-    def apply_after_gate(self, state, qubits, duration_ns, rng) -> int:
-        injected = 0
-        for qubit in qubits:
-            p_decay, p_dephase = self.decay_probabilities(duration_ns)
-            if rng.random() < p_decay:
-                # Trajectory approximation of amplitude damping: collapse to
-                # the measured value and reset to |0> if it was |1>.
-                outcome = state.measure(qubit)
-                if outcome == 1:
-                    state.apply_pauli("x", qubit)
-                injected += 1
-                continue
-            if rng.random() < p_dephase:
-                state.apply_pauli("z", qubit)
-                injected += 1
-        return injected
+    def gate_events(self, qubits, duration_ns, num_qubits):
+        # Trajectory approximation of amplitude damping: collapse to the
+        # measured value and reset to |0> (NoiseEvent.decay's reset branch).
+        p_decay, p_dephase = self.decay_probabilities(duration_ns)
+        return [NoiseEvent.decay(qubit, p_decay, p_dephase) for qubit in qubits]
 
     def noise_channels(self, qubits, duration_ns):
         p_decay, p_dephase = self.decay_probabilities(duration_ns)
@@ -204,11 +282,6 @@ class MeasurementError(ErrorModel):
     def __post_init__(self) -> None:
         if not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError("flip_probability outside [0, 1]")
-
-    def flip_measurement(self, outcome: int, rng) -> int:
-        if rng.random() < self.flip_probability:
-            return 1 - outcome
-        return outcome
 
     def noise_channels(self, qubits, duration_ns):
         return []
@@ -248,21 +321,9 @@ class AsymmetricPauliError(ErrorModel):
         """``(p_x, p_y, p_z)`` — shared by the draws and the channel."""
         return self.p_x, self.p_y, self.p_z
 
-    def apply_after_gate(self, state, qubits, duration_ns, rng) -> int:
+    def gate_events(self, qubits, duration_ns, num_qubits):
         p_x, p_y, p_z = self.pauli_probabilities()
-        injected = 0
-        for qubit in qubits:
-            draw = rng.random()
-            if draw < p_x:
-                state.apply_pauli("x", qubit)
-                injected += 1
-            elif draw < p_x + p_y:
-                state.apply_pauli("y", qubit)
-                injected += 1
-            elif draw < p_x + p_y + p_z:
-                state.apply_pauli("z", qubit)
-                injected += 1
-        return injected
+        return [NoiseEvent.pauli(qubit, p_x, p_y, p_z) for qubit in qubits]
 
     def noise_channels(self, qubits, duration_ns):
         channel = Channel.pauli(*self.pauli_probabilities())
@@ -316,28 +377,28 @@ class CrosstalkError(ErrorModel):
         """Spectator qubits disturbed by a gate on ``qubits``.
 
         The single definition of the neighbour geometry, shared by the
-        trajectory draws and the exact channel placements.  Empty for
-        single-qubit gates or a zero rate.
+        trajectory events and the exact channel placements.  Empty for
+        single-qubit gates; independent of the rate, so a zero rate keeps
+        the trajectory layout (its events never fire).
         """
-        if len(qubits) < 2 or self.spectator_error_rate == 0.0:
+        if len(qubits) < 2:
             return set()
         spectators: set[int] = set()
         for qubit in qubits:
             spectators.update(self.neighbours.get(qubit, ()))
-        spectators -= set(qubits)
-        return spectators
+        return spectators - set(qubits)
 
-    def apply_after_gate(self, state, qubits, duration_ns, rng) -> int:
-        injected = 0
-        for spectator in self.spectators_for(qubits):
-            if spectator < state.num_qubits and rng.random() < self.spectator_error_rate:
-                state.apply_pauli("z", spectator)
-                injected += 1
-        return injected
+    def gate_events(self, qubits, duration_ns, num_qubits):
+        rate = self.spectator_error_rate
+        return [
+            NoiseEvent.pauli(spectator, 0.0, 0.0, rate)
+            for spectator in sorted(self.spectators_for(qubits))
+            if spectator < num_qubits
+        ]
 
     def noise_channels(self, qubits, duration_ns):
         spectators = self.spectators_for(qubits)
-        if not spectators:
+        if not spectators or self.spectator_error_rate == 0.0:
             return []
         channel = Channel.phase_flip(self.spectator_error_rate)
         return [((spectator,), channel) for spectator in sorted(spectators)]
@@ -356,13 +417,12 @@ class CompositeError(ErrorModel):
     def channel_exact(self) -> bool:  # type: ignore[override]
         return all(model.channel_exact for model in self.models)
 
-    def apply_after_gate(self, state, qubits, duration_ns, rng) -> int:
-        return sum(m.apply_after_gate(state, qubits, duration_ns, rng) for m in self.models)
-
-    def flip_measurement(self, outcome, rng) -> int:
-        for model in self.models:
-            outcome = model.flip_measurement(outcome, rng)
-        return outcome
+    def gate_events(self, qubits, duration_ns, num_qubits):
+        return [
+            event
+            for model in self.models
+            for event in model.gate_events(qubits, duration_ns, num_qubits)
+        ]
 
     def noise_channels(self, qubits, duration_ns):
         """One compiled channel per qubit position, not sequential application.

@@ -88,6 +88,42 @@ def apply_1q(amplitudes: np.ndarray, matrix: np.ndarray, qubit: int) -> None:
     a0[...] = new0
 
 
+def dense_1q_operand(matrix: np.ndarray, qubit: int) -> np.ndarray | None:
+    """The gemm operand of a dense 2x2 gate on ``qubit`` (see :func:`apply_1q_gemm`).
+
+    ``None`` for diagonal and anti-diagonal gates, which :func:`apply_1q`
+    scales or swaps in place more cheaply than any gemm.
+    """
+    m00, m01 = matrix[0, 0], matrix[0, 1]
+    m10, m11 = matrix[1, 0], matrix[1, 1]
+    if (abs(m01) < _ATOL and abs(m10) < _ATOL) or (abs(m00) < _ATOL and abs(m11) < _ATOL):
+        return None
+    low = 1 << qubit
+    if low > _RIGHT_KRON_MAX_LOW:
+        return matrix
+    return np.ascontiguousarray(np.kron(matrix, np.eye(low)).T)
+
+
+def apply_1q_gemm(
+    amplitudes: np.ndarray, operand: np.ndarray, qubit: int, out: np.ndarray
+) -> np.ndarray:
+    """Apply a dense 2x2 gate through one gemm, writing into ``out``.
+
+    ``amplitudes`` may hold any number of whole state vectors back to back
+    (a flattened shot stack); ``out`` is a distinct buffer of the same
+    shape, because a gemm cannot overwrite its own input.  Wide panes
+    contract on the left, ``(2, 2) @ (2, low)``; narrow panes on the right
+    over the contiguous ``2 * low`` pair blocks with ``(matrix ⊗ I_low)ᵀ``
+    (the :func:`apply_1q_batch` split).  Returns ``out``.
+    """
+    low = 1 << qubit
+    if low > _RIGHT_KRON_MAX_LOW:
+        np.matmul(operand, amplitudes.reshape(-1, 2, low), out=out.reshape(-1, 2, low))
+    else:
+        np.matmul(amplitudes.reshape(-1, 2 * low), operand, out=out.reshape(-1, 2 * low))
+    return out
+
+
 # ---------------------------------------------------------------------- #
 # Two-qubit kernel
 # ---------------------------------------------------------------------- #

@@ -17,9 +17,9 @@ only ever changes the cost, never the result format.
 
 Circuits are lowered once through :mod:`repro.qx.compiled` before dense or
 MPS execution: the deterministic path runs a single evolution and samples
-the final distribution; the trajectory path re-executes the precompiled
-(unfused, so every gate keeps its error-injection point) program per shot
-without re-dispatching circuit objects.
+the final distribution; the trajectory path evolves all shots of the
+precompiled (unfused, so every gate keeps its error-injection point)
+program as one stack on trajectory stream v2 (:mod:`repro.qx.trajectories`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 from repro.core.circuit import Circuit
 from repro.core.operations import Measurement
 from repro.core.qubits import PERFECT, QubitModel
-from repro.qx import kernels
 from repro.qx.backends import (
     DispatchPolicy,
     UnsupportedBackendError,
@@ -40,7 +39,7 @@ from repro.qx.backends import (
     profile_program,
 )
 from repro.qx.channels import compile_channels
-from repro.qx.compiled import COND_GATE, GATE, MEASURE, program_for
+from repro.qx.compiled import GATE, program_for
 from repro.qx.density import DensityMatrixSimulator
 from repro.qx.error_models import (
     ErrorModel,
@@ -52,6 +51,7 @@ from repro.qx.keying import bits_histogram, counts_to_bits, sample_index_counts
 from repro.qx.mps import MPSState
 from repro.qx.stabilizer import StabilizerSimulator
 from repro.qx.statevector import StateVector
+from repro.qx.trajectories import TrajectoryPlan, evolve_stacked, run_shot
 
 
 @dataclass
@@ -307,41 +307,15 @@ class QXSimulator:
         return result
 
     def _run_trajectories(self, program, num_qubits, shots, keep_final_state, initial_state):
+        """Every shot its own trajectory, evolved as shot-stacked row chunks."""
         result = SimulationResult(num_qubits=num_qubits, shots=shots)
-        num_bits = max(program.num_bits, num_qubits)
-        measured_any = program.num_measurements > 0
-        all_bits = np.zeros((shots, num_bits), dtype=np.int64)
-        error_model = self.error_model
-        rng = self.rng
-        errors = 0
-        for shot in range(shots):
-            state = StateVector(num_qubits, rng=rng)
-            if initial_state is not None:
-                state.set_state(initial_state)
-            bits = all_bits[shot]
-            for op in program.ops:
-                kind = op.kind
-                if kind == GATE:
-                    state.amplitudes = kernels.apply_gate_inplace(
-                        state.amplitudes, op.matrix, op.qubits, structure=op.structure
-                    )
-                    errors += error_model.apply_after_gate(state, op.qubits, op.duration, rng)
-                elif kind == MEASURE:
-                    outcome = state.measure(op.qubits[0])
-                    outcome = error_model.flip_measurement(outcome, rng)
-                    bits[op.bit] = outcome
-                elif kind == COND_GATE:
-                    if bits[op.condition_bit]:
-                        state.amplitudes = kernels.apply_gate_inplace(
-                            state.amplitudes, op.matrix, op.qubits, structure=op.structure
-                        )
-                        errors += error_model.apply_after_gate(
-                            state, op.qubits, op.duration, rng
-                        )
-            if keep_final_state and shot == shots - 1:
-                result.final_state = state.amplitudes.copy()
-        result.errors_injected = errors
-        if measured_any:
+        plan = TrajectoryPlan(program, self.error_model, num_qubits)
+        all_bits = np.zeros((shots, max(program.num_bits, num_qubits)), dtype=np.int64)
+        for stack, errors in evolve_stacked(plan, num_qubits, self.rng, all_bits, initial_state):
+            result.errors_injected += errors
+        if keep_final_state:
+            result.final_state = stack[-1].copy()
+        if program.num_measurements:
             result.counts = bits_histogram(all_bits, program.measured_bits)
             result.classical_bits = all_bits.tolist()
         return result
@@ -383,9 +357,9 @@ class QXSimulator:
 
         The sampled path (noise-free, terminal measurements) runs one MPS
         evolution and draws every shot by right-to-left conditional
-        sampling; feedback or noise falls back to per-shot trajectories with
-        the same error-model hooks as the dense engine (MPS states expose
-        ``apply_pauli`` and ``measure``).
+        sampling; feedback or noise falls back to per-shot trajectories on
+        the dense engine's stream-v2 plan (:func:`~repro.qx.trajectories
+        .run_shot`), so a seeded run draws the same uniforms on both.
         """
         noise_free = isinstance(self.error_model, NoError)
         result = SimulationResult(num_qubits=num_qubits, shots=shots, backend="mps")
@@ -407,33 +381,19 @@ class QXSimulator:
                 result.final_state = state.to_statevector()
             return result
 
+        # Per-shot trajectories on stream v2: shot r consumes row r of the
+        # same draw block the dense engine stacks.
+        plan = TrajectoryPlan(program, self.error_model, num_qubits)
         all_bits = np.zeros((shots, num_bits), dtype=np.int64)
-        error_model = self.error_model
-        rng = self.rng
-        errors = 0
         truncation = 0.0
         for shot in range(shots):
             state = self._mps_state(num_qubits)
-            bits = all_bits[shot]
-            for op in program.ops:
-                kind = op.kind
-                if kind == GATE:
-                    state.apply_gate(op.matrix, op.qubits)
-                    errors += error_model.apply_after_gate(state, op.qubits, op.duration, rng)
-                elif kind == MEASURE:
-                    outcome = state.measure(op.qubits[0])
-                    outcome = error_model.flip_measurement(outcome, rng)
-                    bits[op.bit] = outcome
-                elif kind == COND_GATE:
-                    if bits[op.condition_bit]:
-                        state.apply_gate(op.matrix, op.qubits)
-                        errors += error_model.apply_after_gate(
-                            state, op.qubits, op.duration, rng
-                        )
+            result.errors_injected += run_shot(
+                state, plan, self.rng.random(plan.draws), all_bits[shot]
+            )
             truncation += state.truncation_error
-            if keep_final_state and shot == shots - 1:
-                result.final_state = state.to_statevector()
-        result.errors_injected = errors
+        if keep_final_state:
+            result.final_state = state.to_statevector()
         result.truncation_error = truncation / shots
         if program.num_measurements:
             result.counts = bits_histogram(all_bits, program.measured_bits)
@@ -490,16 +450,12 @@ class QXSimulator:
         stripped = _strip_measurements(circuit)
         ideal = QXSimulator(seed=0).statevector(stripped)
         program = program_for(stripped, fuse=False)
+        num_qubits = stripped.num_qubits
+        plan = TrajectoryPlan(program, self.error_model, num_qubits)
+        bits = np.zeros((shots, max(program.num_bits, num_qubits)), dtype=np.int64)
         total = 0.0
-        for _ in range(shots):
-            state = StateVector(stripped.num_qubits, rng=self.rng)
-            for op in program.ops:
-                if op.kind == GATE:
-                    state.amplitudes = kernels.apply_gate_inplace(
-                        state.amplitudes, op.matrix, op.qubits, structure=op.structure
-                    )
-                    self.error_model.apply_after_gate(state, op.qubits, op.duration, self.rng)
-            total += float(abs(np.vdot(ideal, state.amplitudes)) ** 2)
+        for stack, _ in evolve_stacked(plan, num_qubits, self.rng, bits):
+            total += float(np.sum(np.abs(stack @ ideal.conj()) ** 2))
         return total / shots
 
 
@@ -521,16 +477,6 @@ def _confuse(
         view[:, 0, :] = confusion[0, 0] * zero + confusion[1, 0] * one
         view[:, 1, :] = confusion[0, 1] * zero + confusion[1, 1] * one
     return probabilities
-
-
-#: Back-compat aliases; the implementations live in :mod:`repro.qx.keying`.
-_bits_histogram = bits_histogram
-_counts_to_bits = counts_to_bits
-
-
-def _has_mid_circuit_measurement(circuit: Circuit) -> bool:
-    """Kept for API compatibility; the compiled program caches this flag."""
-    return program_for(circuit, fuse=True).has_mid_circuit_measurement
 
 
 def _strip_measurements(circuit: Circuit) -> Circuit:

@@ -295,11 +295,13 @@ class TestSharedKeyingConvention:
     shared helpers of repro.qx.keying — by object identity where a module
     re-exports them, and behaviourally on a cross-mapped circuit."""
 
-    def test_simulator_aliases_are_the_shared_helpers(self):
+    def test_keying_is_the_only_home_of_the_histogram_helpers(self):
         from repro.qx import simulator
 
-        assert simulator._bits_histogram is keying.bits_histogram
-        assert simulator._counts_to_bits is keying.counts_to_bits
+        for shim in ("_bits_histogram", "_counts_to_bits", "_has_mid_circuit_measurement"):
+            assert not hasattr(simulator, shim), shim
+        assert simulator.bits_histogram is keying.bits_histogram
+        assert simulator.counts_to_bits is keying.counts_to_bits
 
     def test_statevector_sampling_delegates_to_shared_helper(self, monkeypatch):
         from repro.qx.statevector import StateVector

@@ -18,12 +18,42 @@ from repro.qx.simulator import QXSimulator
 from repro.qx.statevector import StateVector
 
 
+def _draws_used(rng: np.random.Generator, seed: int) -> int:
+    """How many uniforms ``rng`` (seeded with ``seed``) has consumed so far."""
+    reference = np.random.default_rng(seed)
+    for used in range(1000):
+        if reference.bit_generator.state == rng.bit_generator.state:
+            return used
+        reference.random()
+    raise AssertionError("generator state not reachable by uniform draws")
+
+
 class TestErrorModels:
+    """The one-state adapters (a batch of one of the stacked engine)."""
+
     def test_no_error_injects_nothing(self):
         state = StateVector(2)
         rng = np.random.default_rng(0)
         assert NoError().apply_after_gate(state, (0, 1), 100.0, rng) == 0
         assert NoError().flip_measurement(1, rng) == 1
+        assert _draws_used(rng, 0) == 0
+
+    @pytest.mark.parametrize(
+        "model, per_qubit",
+        [
+            (DepolarizingError(0.0), 1),
+            (DepolarizingError(0.9), 1),
+            (DecoherenceError(t1_ns=float("inf"), t2_ns=float("inf")), 2),
+            (DecoherenceError(t1_ns=10.0, t2_ns=10.0), 2),
+            (CompositeError(DepolarizingError(0.5), DecoherenceError(50.0, 40.0)), 3),
+        ],
+    )
+    def test_fixed_draws_per_location_whatever_the_rate(self, model, per_qubit):
+        rng = np.random.default_rng(8)
+        state = StateVector(2, rng=rng)
+        for _ in range(5):
+            model.apply_after_gate(state, (0, 1), 20.0, rng)
+        assert _draws_used(rng, 8) == 5 * 2 * per_qubit
 
     def test_depolarizing_rate_validation(self):
         with pytest.raises(ValueError):
@@ -48,6 +78,8 @@ class TestErrorModels:
         model = MeasurementError(1.0)
         assert model.flip_measurement(0, rng) == 1
         assert model.flip_measurement(1, rng) == 0
+        assert MeasurementError(0.0).flip_measurement(1, rng) == 1
+        assert _draws_used(rng, 3) == 3
 
     def test_measurement_error_validation(self):
         with pytest.raises(ValueError):

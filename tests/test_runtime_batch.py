@@ -19,7 +19,7 @@ import pytest
 from repro.qx.keying import PreparedIndexSampler, sample_index_counts
 from repro.runtime.batch import BatchCircuit, BatchRunner, BatchSpec, run_batch
 from repro.runtime.runner import ExperimentRunner
-from repro.runtime.spec import CircuitSpec, CompilerSpec, ExperimentSpec, SimulationSpec
+from repro.runtime.spec import CircuitSpec, CompilerSpec, ExperimentSpec
 from repro.service import JobService
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -126,6 +126,16 @@ class TestCrosstalkError:
         injected = model.apply_after_gate(state, (1, 2), 40.0, rng)
         # Neighbours of {1, 2} on a line are {0, 3}: both hit at rate 1.0.
         assert injected == 2
+        assert model.spectators_for((1, 2)) == {0, 3}
+        assert [event.qubit for event in model.gate_events((1, 2), 40.0, 4)] == [0, 3]
+
+    def test_zero_rate_keeps_its_locations_but_injects_nothing(self):
+        model = CrosstalkError.from_topology(linear_topology(4), spectator_error_rate=0.0)
+        rng = np.random.default_rng(5)
+        state = StateVector(4, rng=rng)
+        assert model.spectators_for((1, 2)) == {0, 3}
+        assert model.noise_channels((1, 2), 40.0) == []
+        assert sum(model.apply_after_gate(state, (1, 2), 40.0, rng) for _ in range(50)) == 0
 
     def test_from_topology_builds_neighbour_table(self):
         model = self._topology_neighbours()
