@@ -230,6 +230,7 @@ class QXSimulator:
         keep_final_state: bool = False,
         initial_state: np.ndarray | None = None,
         backend: str | None = None,
+        plan: TrajectoryPlan | None = None,
     ) -> SimulationResult:
         """Execute an already-lowered :class:`~repro.qx.compiled.KernelProgram`.
 
@@ -242,7 +243,10 @@ class QXSimulator:
         and MPS engines all can, and auto-dispatch picks between the dense
         engine (within its 26-qubit wall) and the MPS engine (beyond it).
         Noisy execution requires an *unfused* program, because gate fusion
-        removes error-injection points.
+        removes error-injection points.  ``plan`` is a prebuilt
+        :class:`~repro.qx.trajectories.TrajectoryPlan` of ``program`` under
+        this simulator's error model and register, used if the run takes
+        per-shot trajectories; the runtime's workers memoise one per point.
         """
         if shots < 1:
             raise ValueError("shots must be >= 1")
@@ -275,12 +279,14 @@ class QXSimulator:
                 "noisy execution requires an unfused program (lower with fuse=False)"
             )
         if name == "mps":
-            return self._run_mps(program, register, shots, keep_final_state)
+            return self._run_mps(program, register, shots, keep_final_state, plan)
         if name == "density":
             return self._run_density(program, register, shots)
         if noise_free and not program.needs_trajectories:
             return self._run_sampled(program, register, shots, keep_final_state, initial_state)
-        return self._run_trajectories(program, register, shots, keep_final_state, initial_state)
+        return self._run_trajectories(
+            program, register, shots, keep_final_state, initial_state, plan
+        )
 
     # ------------------------------------------------------------------ #
     def _run_sampled(self, program, num_qubits, shots, keep_final_state, initial_state):
@@ -306,15 +312,21 @@ class QXSimulator:
             result.final_state = state.amplitudes.copy()
         return result
 
-    def _run_trajectories(self, program, num_qubits, shots, keep_final_state, initial_state):
+    def _run_trajectories(
+        self, program, num_qubits, shots, keep_final_state, initial_state, plan=None
+    ):
         """Every shot its own trajectory, evolved as shot-stacked row chunks."""
         result = SimulationResult(num_qubits=num_qubits, shots=shots)
-        plan = TrajectoryPlan(program, self.error_model, num_qubits)
+        if plan is None:
+            plan = TrajectoryPlan(program, self.error_model, num_qubits)
         all_bits = np.zeros((shots, max(program.num_bits, num_qubits)), dtype=np.int64)
-        for stack, errors in evolve_stacked(plan, num_qubits, self.rng, all_bits, initial_state):
+        chunks = evolve_stacked(plan, num_qubits, self.rng, all_bits, initial_state)
+        for stack, errors, outcomes in chunks:
             result.errors_injected += errors
         if keep_final_state:
-            result.final_state = stack[-1].copy()
+            result.final_state = plan.final_state(
+                stack[-1], None if outcomes is None else outcomes[-1]
+            )
         if program.num_measurements:
             result.counts = bits_histogram(all_bits, program.measured_bits)
             result.classical_bits = all_bits.tolist()
@@ -352,7 +364,7 @@ class QXSimulator:
             rng=self.rng,
         )
 
-    def _run_mps(self, program, num_qubits, shots, keep_final_state):
+    def _run_mps(self, program, num_qubits, shots, keep_final_state, plan=None):
         """Execute a lowered program on the matrix-product-state engine.
 
         The sampled path (noise-free, terminal measurements) runs one MPS
@@ -383,7 +395,8 @@ class QXSimulator:
 
         # Per-shot trajectories on stream v2: shot r consumes row r of the
         # same draw block the dense engine stacks.
-        plan = TrajectoryPlan(program, self.error_model, num_qubits)
+        if plan is None:
+            plan = TrajectoryPlan(program, self.error_model, num_qubits)
         all_bits = np.zeros((shots, num_bits), dtype=np.int64)
         truncation = 0.0
         for shot in range(shots):
@@ -454,8 +467,8 @@ class QXSimulator:
         plan = TrajectoryPlan(program, self.error_model, num_qubits)
         bits = np.zeros((shots, max(program.num_bits, num_qubits)), dtype=np.int64)
         total = 0.0
-        for stack, _ in evolve_stacked(plan, num_qubits, self.rng, bits):
-            total += float(np.sum(np.abs(stack @ ideal.conj()) ** 2))
+        for stack, _, _ in evolve_stacked(plan, num_qubits, self.rng, bits):
+            total += float(np.sum(np.abs(plan.to_physical(stack) @ ideal.conj()) ** 2))
         return total / shots
 
 

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 from repro.core.qubits import QubitModel
 from repro.qx.compiled import KernelProgram, lower
+from repro.qx.error_models import error_model_for
 from repro.qx.simulator import QXSimulator
+from repro.qx.trajectories import TrajectoryPlan
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.seeding import shard_seed
 
@@ -176,6 +178,32 @@ def load_program(task: ShardTask) -> KernelProgram:  # contract: ignore[REPRO006
     while len(_PROGRAMS) > PROGRAM_MEMO_CAP:
         _PROGRAMS.popitem(last=False)
     return program
+
+
+#: Per-process memo of trajectory plans, keyed by (program cache key, qubit
+#: model, register width) and bounded like the program memo.  The shards of
+#: a noisy point share one plan instead of rebuilding it per shard.
+_PLANS: OrderedDict[tuple, TrajectoryPlan] = OrderedDict()
+
+
+def load_plan(task: ShardTask, program) -> TrajectoryPlan:  # contract: ignore[REPRO006]
+    """Trajectory plan of a noisy task's unfused ``program``, built once per process.
+
+    The REPRO006 ignore is deliberate, as for :func:`load_program`: the
+    memo is keyed by content (the program's cache key, the frozen qubit
+    model and the register width), and a plan is a pure function of those,
+    so its state never changes a result — only whether the plan is rebuilt.
+    """
+    key = (program_cache_key(task.cqasm, False), task.qubit_model, task.num_qubits)
+    plan = _PLANS.get(key)
+    if plan is not None:
+        _PLANS.move_to_end(key)
+        return plan
+    plan = TrajectoryPlan(program, error_model_for(task.qubit_model), task.num_qubits)
+    _PLANS[key] = plan
+    while len(_PLANS) > PROGRAM_MEMO_CAP:
+        _PLANS.popitem(last=False)
+    return plan
 
 
 def _run_qec_shard(task: QecShardTask) -> ShardResult:
@@ -348,7 +376,12 @@ def run_shard(task: ShardTask | QecShardTask | CompileShardTask) -> ShardResult:
         result = simulator.run(cqasm_to_circuit(task.cqasm), shots=task.shots)
     else:
         before = dict(_program_memo_stats)
-        result = simulator.run_program(load_program(task), shots=task.shots)
+        program = load_program(task)
+        # Noisy points take trajectories on every engine but the density one.
+        plan = None
+        if not _noise_free(task.qubit_model) and task.backend != "density":
+            plan = load_plan(task, program)
+        result = simulator.run_program(program, shots=task.shots, plan=plan)
         metrics["program_cache_hits"] = _program_memo_stats["hits"] - before["hits"]
         metrics["program_cache_misses"] = _program_memo_stats["misses"] - before["misses"]
     metrics["backend"] = result.backend

@@ -37,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -107,6 +108,8 @@ class JobService:
         self._job_counter = 0
         self._closing = False
         self._started = False
+        #: Why the process pool can run no more shards, once a worker died.
+        self._pool_fault: str | None = None
         self._tasks: set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------ #
@@ -324,6 +327,8 @@ class JobService:
         try:
             result = await self._loop.run_in_executor(self._pool, run_shard, shard_task)
         except Exception as exc:  # noqa: BLE001 - worker crashes fail the point
+            if isinstance(exc, BrokenProcessPool) and self._pool_fault is None:
+                self._pool_fault = f"process pool broken: {exc}"
             execution = self._inflight.pop(key, None)
             if execution is not None:
                 for job, _ in execution.subscribers:
@@ -442,6 +447,16 @@ class JobService:
                     return
         finally:
             job.queues.remove(queue)
+
+    def health(self) -> dict:
+        """``{"ok": True}``, or ``{"ok": False, "reason": ...}`` once the pool broke.
+
+        A worker that dies abruptly breaks a process pool for good: every
+        later shard fails with ``BrokenProcessPool`` until the daemon restarts.
+        """
+        if self._pool_fault is not None:
+            return {"ok": False, "reason": self._pool_fault}
+        return {"ok": True}
 
     def status(self, job_id: str) -> dict:
         return self.jobs[job_id].status()

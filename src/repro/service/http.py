@@ -3,7 +3,8 @@
 A convenience surface for ``curl``-style introspection and one-shot
 submission next to the primary NDJSON socket protocol:
 
-- ``GET /healthz`` — liveness probe;
+- ``GET /healthz`` — health probe: 200 ``{"ok": true}``, or 503 with a
+  ``reason`` once the process pool is broken;
 - ``GET /stats`` — scheduler/cache/dedup counters;
 - ``POST /jobs`` — submit (JSON body: ``client``, ``kind``, ``spec``,
   ``priority``, ``name``); returns the ``accepted`` event;
@@ -78,7 +79,9 @@ async def handle_http(
         if body is None:
             writer.write(_response("413 Payload Too Large", {"error": "body too large"}))
         elif method == "GET" and path == "/healthz":
-            writer.write(_response("200 OK", {"ok": True}))
+            health = service.health()
+            status = "200 OK" if health["ok"] else "503 Service Unavailable"
+            writer.write(_response(status, health))
         elif method == "GET" and path == "/stats":
             writer.write(_response("200 OK", service.stats()))
         elif method == "POST" and path == "/jobs":

@@ -6,10 +6,11 @@
 * every error location and measurement consumes a fixed number of
   uniforms, so the generator's state after a run does not depend on the
   error rates or the outcomes;
-* the stacked engine (fused single-qubit runs, masked conditional rows)
-  equals the obvious per-shot, per-gate loop on the same rows, and the MPS
-  engine's per-shot loop reads the same rows, so it reproduces the dense
-  engine's shots;
+* the stacked engine (fused single-qubit runs, single-qubit layers as
+  block gemms, SWAPs as axis relabelings, masked conditional rows, the
+  one-pass terminal tail) equals the obvious per-shot, per-gate loop on the
+  same rows, and the MPS engine's per-shot loop reads the same rows, so it
+  reproduces the dense engine's shots;
 * masked conditional rows are exact: a noisy mid-circuit measure-and-reset
   circuit matches the exact branch ensemble.
 """
@@ -17,7 +18,11 @@
 import numpy as np
 import pytest
 
-from repro.core.circuit import Circuit
+from repro.core.circuit import Circuit, rotation_ladder_circuit
+from repro.core.qubits import REALISTIC
+from repro.openql.compiler import Compiler
+from repro.openql.platform import realistic_platform
+from repro.qx import kernels
 from repro.qx.compiled import COND_GATE, GATE, MEASURE, program_for
 from repro.qx.density import DensityMatrixSimulator
 from repro.qx.error_models import (
@@ -28,10 +33,11 @@ from repro.qx.error_models import (
     DepolarizingError,
     MeasurementError,
     apply_events,
+    error_model_for,
 )
 from repro.qx.simulator import QXSimulator
 from repro.qx.statevector import StateVector
-from repro.qx.trajectories import TrajectoryPlan
+from repro.qx.trajectories import _GATE, _LAYER, _TAIL, TrajectoryPlan
 
 NEIGHBOURS = {0: (1,), 1: (0, 2), 2: (1, 3), 3: (2,)}
 
@@ -83,6 +89,34 @@ def _run_heavy_circuit() -> Circuit:
         circuit.rz(qubit, 0.5).h(qubit).s(qubit).ry(qubit, 0.4)
     circuit.cnot(1, 2).t(2).h(2)
     circuit.measure_all()
+    return circuit
+
+
+def _routed_circuit() -> Circuit:
+    """A rotation ladder routed onto a realistic 2x4 grid (six SWAPs)."""
+    circuit = rotation_ladder_circuit(8, depth=3, seed=5)
+    circuit.measure_all()
+    return Compiler().compile_circuit(circuit, realistic_platform(8))
+
+
+def _wide_layer_circuit(num_qubits: int = 7) -> Circuit:
+    """Full single-qubit layers across more than one block of axes.
+
+    The tail measures one qubit twice and cross-maps bits, so the one-pass
+    tail must repeat an outcome and keep program order of bit writes.
+    """
+    circuit = Circuit(num_qubits, num_bits=num_qubits + 1)
+    for qubit in range(num_qubits):
+        circuit.h(qubit).rz(qubit, 0.2 + 0.3 * qubit).ry(qubit, 0.9 - 0.1 * qubit)
+    for qubit in range(num_qubits - 1):
+        circuit.cnot(qubit, qubit + 1)
+    for qubit in reversed(range(num_qubits)):
+        circuit.rx(qubit, 0.4 + 0.05 * qubit).s(qubit)
+    circuit.z(3).x(5)  # lone diagonal / anti-diagonal gates, applied in place
+    circuit.swap(0, 6).swap(2, 4).cnot(6, 1)
+    for qubit in range(num_qubits):
+        circuit.measure(qubit, num_qubits - 1 - qubit)
+    circuit.measure(4, num_qubits)
     return circuit
 
 
@@ -166,8 +200,70 @@ class TestShotMajorRows:
         assert result.errors_injected == errors > shots
         np.testing.assert_allclose(result.final_state, final_state, atol=1e-12)
 
-    def test_mps_engine_reads_the_same_rows(self):
-        circuit = _feedback_circuit()
+    @pytest.mark.parametrize(
+        "circuit, model, seed",
+        [
+            (_routed_circuit(), _every_kind(0.2), 3),
+            (_routed_circuit(), error_model_for(REALISTIC.with_error_rate(0.05)), 4),
+            (_wide_layer_circuit(), _every_kind(0.25), 5),
+            (_wide_layer_circuit(), MeasurementError(0.2), 6),
+            (_wide_layer_circuit(), DecoherenceError(t1_ns=300.0, t2_ns=200.0), 7),
+            (_wide_layer_circuit(9), CompositeError(DecoherenceError(400.0, 300.0)), 8),
+        ],
+        ids=[
+            "routed-every-kind",
+            "routed-realistic",
+            "wide-layer-every-kind",
+            "wide-layer-readout-tail",
+            "wide-layer-decoherence",
+            "wide-layer-9q-decoherence",
+        ],
+    )
+    def test_plan_rewrites_equal_the_per_gate_loop(self, circuit, model, seed):
+        """Relabeled SWAPs, block-gemm layers and the one-pass tail, shot for shot."""
+        shots = 48
+        result = QXSimulator(error_model=model, seed=seed).run(
+            circuit, shots=shots, backend="statevector", keep_final_state=True
+        )
+        rows = np.random.default_rng(seed).random((shots, _draws_per_shot(circuit, model)))
+        bits, errors, final_state = _per_gate_loop(circuit, model, rows)
+        assert result.classical_bits == bits.tolist()
+        assert result.errors_injected == errors
+        assert errors > shots or model.confusion() is not None
+        np.testing.assert_allclose(result.final_state, final_state, atol=1e-12)
+
+    def test_routed_program_swaps_are_relabelings(self):
+        circuit = _routed_circuit()
+        program = program_for(circuit, fuse=False)
+        plan = TrajectoryPlan(program, _every_kind(0.1), circuit.num_qubits)
+        swaps = sum(op.structure == kernels.SWAP_2Q for op in program.ops)
+        two_qubit = sum(len(op.qubits) == 2 for op in program.ops)
+        gates = [payload for kind, payload, _ in plan.steps if kind == _GATE]
+        assert swaps == 6
+        assert len(gates) == two_qubit - swaps
+        assert all(gate.structure != kernels.SWAP_2Q for gate in gates)
+        assert plan.axes != tuple(range(circuit.num_qubits))
+
+    def test_plan_blocks_layers_and_merges_the_tail(self):
+        program = program_for(_wide_layer_circuit(), fuse=False)
+        plan = TrajectoryPlan(program, DepolarizingError(0.01), num_qubits=7)
+        # The first layer (h rz ry on 7 qubits) is two gemm blocks: axes 0-3, 4-6.
+        kind, blocks, events = plan.steps[0]
+        assert kind == _LAYER and [block[:2] for block in blocks] == [(4, 0), (3, 4)]
+        assert len(events) == 3 * 7
+        # The trailing measurements are one step.
+        kind, tail, _ = plan.steps[-1]
+        assert kind == _TAIL and len(tail) == 8
+
+    def test_fidelity_undoes_swap_relabelings(self):
+        circuit = Circuit(3).h(0).cnot(0, 1).swap(1, 2).ry(2, 0.7).swap(0, 2)
+        simulator = QXSimulator(error_model=DepolarizingError(0.0), seed=1)
+        assert simulator.fidelity_with_ideal(circuit, shots=4) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "circuit", [_feedback_circuit(), _routed_circuit()], ids=["feedback", "routed"]
+    )
+    def test_mps_engine_reads_the_same_rows(self, circuit):
         model = _every_kind(0.05)
         dense = QXSimulator(error_model=model, seed=5).run(
             circuit, shots=60, backend="statevector"

@@ -10,6 +10,8 @@ invariants it rests on.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,8 @@ from repro.runtime import (
     shard_seed,
     shard_sizes,
 )
+from repro.runtime import worker
+from repro.runtime.runner import Planner
 from repro.runtime.worker import ShardTask, run_shard
 
 
@@ -185,6 +189,30 @@ def test_shard_task_executes_standalone(tmp_path):
     second = run_shard(task)
     assert first.counts == second.counts
     assert first.shots == task.shots
+
+
+def test_noisy_point_builds_one_trajectory_plan_per_process(monkeypatch):
+    """The shards of a noisy point share the process's memoised plan."""
+    built = []
+
+    class CountingPlan(worker.TrajectoryPlan):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    spec = _noisy_spec(shots=256, sweep={})
+    planned = Planner(None).plan_point(next(iter(spec.points())))
+    assert len(planned.tasks) == 8
+    monkeypatch.setattr(worker, "TrajectoryPlan", CountingPlan)
+    monkeypatch.setattr(worker, "_PLANS", OrderedDict())
+    memoised = [worker.run_shard(task).counts for task in planned.tasks]
+    assert len(built) == 1
+    fresh = []
+    for task in planned.tasks:
+        worker._PLANS.clear()
+        fresh.append(worker.run_shard(task).counts)
+    assert len(built) == 1 + len(planned.tasks)
+    assert memoised == fresh
 
 
 def test_host_cpu_delegates_to_runner(tmp_path):

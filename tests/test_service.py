@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import signal
 import socket
 import subprocess
@@ -40,6 +41,7 @@ from repro.runtime import (
     run_batch,
 )
 from repro.service import FairScheduler, JobJournal, JobService, ServiceClient, point_key
+from repro.service.http import handle_http
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -485,6 +487,64 @@ class TestJobServiceEngine:
                 await service.close()
 
         asyncio.run(scenario())
+
+
+def _exit_shard(task):
+    """A shard whose worker dies abruptly, as under an OOM kill or a segfault."""
+    os._exit(3)
+
+
+class _Sink:
+    """The writer half of one HTTP exchange, kept in memory."""
+
+    def __init__(self) -> None:
+        self.data = b""
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+    async def wait_closed(self) -> None:
+        pass
+
+
+async def _http_get(service: JobService, path: str) -> tuple[str, dict]:
+    reader = asyncio.StreamReader()
+    reader.feed_data(f"GET {path} HTTP/1.1\r\n\r\n".encode("ascii"))
+    reader.feed_eof()
+    sink = _Sink()
+    await handle_http(service, reader, sink)
+    head, _, body = sink.data.partition(b"\r\n\r\n")
+    status = head.split(b"\r\n")[0].decode("ascii").split(" ", 1)[1]
+    return status, json.loads(body)
+
+
+class TestHealth:
+    def test_healthz_reports_a_broken_process_pool(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine, "run_shard", _exit_shard)
+
+        async def scenario():
+            service = _service(tmp_path, workers=1, use_processes=True)
+            await service.start()
+            try:
+                before = await _http_get(service, "/healthz")
+                _, events = await _run_job(service, _ghz_spec())
+                after = await _http_get(service, "/healthz")
+                return before, events, after
+            finally:
+                await service.close()
+
+        before, events, (status, body) = asyncio.run(scenario())
+        assert before == ("200 OK", {"ok": True})
+        assert _terminal(events)["event"] == "error"
+        assert status == "503 Service Unavailable"
+        assert body["ok"] is False
+        assert body["reason"].startswith("process pool broken")
 
 
 # ---------------------------------------------------------------------- #
